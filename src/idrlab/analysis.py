@@ -74,7 +74,8 @@ def floored_scaled_factorial_witness(p: int, q: int) -> ScaledFactorialWitness:
     With d the least prime above p * q! and a = d + q, both f(a) and f(q)
     are exact multiples of p/q, and modulo d the quotient a!/q! is a product
     of d consecutive integers, hence 0; unwinding leaves f(a) - f(q)
-    congruent to a nonzero product of factors smaller than d.
+    congruent to a nonzero product of factors smaller than d.  The
+    certificate is re-checked modulo d, without forming a!.
     """
     if p <= 0 or q <= 0:
         raise ValueError("requires a positive ratio, p >= 1 and q >= 1")
@@ -82,13 +83,23 @@ def floored_scaled_factorial_witness(p: int, q: int) -> ScaledFactorialWitness:
         raise ValueError("requires p/q in lowest terms")
     d = next_prime(p * math.factorial(q))
     a = d + q
-    ratio = Fraction(p, q)
-    diff = math.floor(ratio * math.factorial(a)) - math.floor(
-        ratio * math.factorial(q)
-    )
-    if diff % d == 0:
+    f_a = _floored_scaled_factorial_mod(p, q, a, d)
+    f_q = _floored_scaled_factorial_mod(p, q, q, d)
+    if (f_a - f_q) % d == 0:
         raise RuntimeError("witness construction failed its own certificate")
     return ScaledFactorialWitness(a, q, d)
+
+
+def _floored_scaled_factorial_mod(p: int, q: int, n: int, modulus: int) -> int:
+    """floor(p/q * n!) mod modulus for n >= q.
+
+    q divides n! there, so the floor is exactly p * (q-1)! * (q+1) * ... * n,
+    which is reduced factor by factor.
+    """
+    acc = p * math.factorial(q - 1) % modulus
+    for i in range(q + 1, n + 1):
+        acc = acc * i % modulus
+    return acc
 
 
 def polynomial_idr_check(coeffs: list, prefix_len: int) -> PolynomialVerdict:

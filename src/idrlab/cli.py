@@ -214,10 +214,7 @@ def _cmd_family_verify(args) -> dict:
 
 
 def _cmd_family_scaled(args) -> dict:
-    values = [
-        families.eval_scaled_factorial_e(args.scale, args.a, x)
-        for x in range(args.x_max + 1)
-    ]
+    values = families.FactorialESpec(args.a, "none", args.scale).tabulate(args.x_max)
     return {"values": [_enc_int(v) for v in values]}
 
 

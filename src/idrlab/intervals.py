@@ -70,8 +70,20 @@ class RationalInterval:
         return RationalInterval(self.lo + other.lo, self.hi + other.hi)
 
 
+def _least_denominator(width_bound, numerator: int) -> int:
+    """Least positive integer D with numerator / D <= width_bound."""
+    width_bound = Fraction(width_bound)
+    if width_bound <= 0:
+        raise ValueError("width_bound must be positive")
+    return -(-numerator * width_bound.denominator // width_bound.numerator)
+
+
 def enclose_exp_inv(a: int, width_bound: Fraction) -> RationalInterval:
     """Enclosure of e**(1/a) for nonzero integer a, no wider than width_bound.
+
+    The partial sum through t**m / m! at t = 1/a is P_m / D_m with
+    D_m = a**m * m! and P_m = a*m * P_(m-1) + 1, so the loop stays in
+    integers and the next term is 1 / D_(m+1).
 
     Positive a: partial sums of the exponential series increase toward the
     value and the tail after m terms is below 3 * t**(m+1) / (m+1)! for
@@ -83,34 +95,31 @@ def enclose_exp_inv(a: int, width_bound: Fraction) -> RationalInterval:
     """
     if a == 0:
         raise ValueError("enclose_exp_inv requires a nonzero a")
-    width_bound = Fraction(width_bound)
-    if width_bound <= 0:
-        raise ValueError("width_bound must be positive")
-    t = Fraction(1, a)
-    total = Fraction(0)
-    term = Fraction(1)
-    j = 0
-    if a > 0:
-        while True:
-            total += term
-            nxt = term * t / (j + 1)
-            tail = 3 * nxt
-            if tail <= width_bound:
-                return RationalInterval(total, total + tail)
-            term = nxt
-            j += 1
+    tail = 3 if a > 0 else 1  # the tail is at most tail / D_(m+1) in size
+    needed = _least_denominator(width_bound, tail)
+    total, denom = 1, 1
+    m = 1
     while True:
-        total += term
-        nxt = term * t / (j + 1)
-        if -width_bound <= nxt <= width_bound:
-            lo, hi = (total, total + nxt) if nxt >= 0 else (total + nxt, total)
-            return RationalInterval(lo, hi)
-        term = nxt
-        j += 1
+        step = a * m
+        next_denom = step * denom
+        if abs(next_denom) >= needed:
+            break
+        total = step * total + 1
+        denom = next_denom
+        m += 1
+    lo = Fraction(total, denom)
+    if a > 0:
+        return RationalInterval(lo, Fraction(step * total + tail, next_denom))
+    other = Fraction(step * total + 1, next_denom)
+    return RationalInterval(min(lo, other), max(lo, other))
 
 
 def enclose_hyper(k: int, s: int, a: int, width_bound: Fraction) -> RationalInterval:
     """Enclosure of sum_{n>=0} t**(k*n+s) / (k*n+s)! at t = 1/a.
+
+    As in enclose_exp_inv the partial sum is P_m / D_m in integers, here with
+    D_m = a**(k*m+s) * (k*m+s)! and P_m = r_m * P_(m-1) + 1, where
+    r_m = D_m / D_(m-1) = a**k * (k*m+s)! / (k*m+s-k)!.
 
     The tail after the partial sum through exponent e is bounded in absolute
     value by 2 * |t|**(e+k) / (e+k)!  (the omitted terms form the same kind
@@ -124,27 +133,24 @@ def enclose_hyper(k: int, s: int, a: int, width_bound: Fraction) -> RationalInte
         raise ValueError("enclose_hyper requires 0 <= s < k")
     if a == 0:
         raise ValueError("enclose_hyper requires a nonzero a")
-    width_bound = Fraction(width_bound)
-    if width_bound <= 0:
-        raise ValueError("width_bound must be positive")
-    t = Fraction(1, a)
+    # a > 0 needs 2 / |D_(m+1)| <= width_bound, a < 0 twice that
+    needed = _least_denominator(width_bound, 2 if a > 0 else 4)
+    a_k = a**k
+    total, denom = 1, a**s * math.factorial(s)
     exponent = s
-    term = t**s / math.factorial(s)
-    total = Fraction(0)
     while True:
-        total += term
-        nxt = term * t**k
-        for j in range(exponent + 1, exponent + k + 1):
-            nxt /= j
         exponent += k
-        tail = 2 * abs(nxt)
-        if t > 0:
-            if tail <= width_bound:
-                return RationalInterval(total, total + tail)
-        else:
-            if 2 * tail <= width_bound:
-                return RationalInterval(total - tail, total + tail)
-        term = nxt
+        step = a_k * math.perm(exponent, k)
+        next_denom = step * denom
+        if abs(next_denom) >= needed:
+            break
+        total = step * total + 1
+        denom = next_denom
+    value = Fraction(total, denom)
+    tail = Fraction(2, abs(next_denom))
+    if a > 0:
+        return RationalInterval(value, value + tail)
+    return RationalInterval(value - tail, value + tail)
 
 
 def floor_via_interval(

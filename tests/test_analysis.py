@@ -13,6 +13,7 @@ from idrlab import (
     power_factorial_witness,
     values_from_coeffs,
 )
+from idrlab.analysis import _floored_scaled_factorial_mod
 
 
 def test_power_factorial_witness_goldens():
@@ -62,6 +63,25 @@ def test_scaled_factorial_witness_certificates():
             ratio * math.factorial(w.b)
         )
         assert diff % w.divisor != 0
+
+
+def test_scaled_factorial_witness_modular_certificate_matches_full_factorials():
+    # the witness re-checks itself modulo d; here each table value is formed
+    # from the full factorial and reduced afterwards
+    for p in range(1, 6):
+        for q in range(1, 7):
+            if math.gcd(p, q) != 1:
+                continue
+            w = floored_scaled_factorial_witness(p, q)
+            full = [
+                math.floor(Fraction(p, q) * math.factorial(n)) % w.divisor
+                for n in (w.a, w.b)
+            ]
+            modular = [
+                _floored_scaled_factorial_mod(p, q, n, w.divisor) for n in (w.a, w.b)
+            ]
+            assert modular == full, (p, q)
+            assert (full[0] - full[1]) % w.divisor != 0, (p, q)
 
 
 def test_scaled_factorial_witness_validation():

@@ -144,6 +144,40 @@ def test_family_verify_rows():
     assert result["rows"][1]["status"] == "match"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--family", "factorial-e", "--a", "1", "--x-max", "-3"],
+        ["eval", "--family", "hyper", "--a", "2", "--k", "3", "--r", "1", "--x-max", "-1"],
+        ["eval", "--family", "exponential", "--alpha", "1", "--base", "2", "--x-max", "-1"],
+        ["eval", "--family", "factorial-e", "--a", "0", "--x-max", "0"],
+        ["eval", "--family", "hyper", "--a", "1", "--k", "2", "--r", "2", "--x-max", "0"],
+        ["verify", "--family", "factorial-e", "--a", "1", "--x-max", "-3"],
+        ["verify", "--family", "hyper", "--a", "1", "--k", "2", "--r", "0", "--x-max", "-3"],
+        ["verify", "--family", "factorial-e", "--a", "0", "--x-max", "0"],
+        ["scaled", "--scale", "2", "--a", "1", "--x-max", "-1"],
+    ],
+)
+def test_family_commands_reject_out_of_domain_arguments(argv):
+    payload, code = invoke(["family", *argv])
+    assert code == 1
+    assert payload["status"] == "error"
+
+
+def test_family_verify_hyper_rows():
+    payload, code = invoke(
+        [
+            "family", "verify", "--family", "hyper", "--a", "-1", "--k", "2",
+            "--r", "1", "--rounding", "ceil", "--x-max", "6",
+        ]
+    )
+    assert code == 0
+    result = payload["result"]
+    assert result["consistent"] is True
+    assert result["undecided"] == "0"
+    assert [row["status"] for row in result["rows"]] == ["patched"] + ["match"] * 6
+
+
 def test_family_scaled():
     payload, code = invoke(["family", "scaled", "--scale", "3", "--a", "1", "--x-max", "3"])
     assert code == 0
@@ -225,6 +259,14 @@ def test_malformed_json_exits_nonzero(tmp_path):
     payload, code = cli.run(["newton", "to-coeffs", "--in", str(path)])
     assert code == 1
     assert payload["status"] == "error"
+
+
+def test_missing_input_file_exits_one(capsys, tmp_path):
+    # an I/O problem is bad input (exit 1); exit 2 is for internal breaches
+    code = cli.main(["newton", "to-coeffs", "--in", str(tmp_path / "absent.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["status"] == "error"
 
 
 def test_main_prints_compact_sorted_json(capsys, tmp_path):

@@ -11,7 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+import idrlab.families as families_module
 from idrlab import (
+    UNDECIDED,
     ExponentialSpec,
     FactorialESpec,
     HyperSpec,
@@ -348,6 +350,149 @@ def test_hyper_spec_tabulate():
     assert HyperSpec(1, 2, 0).tabulate(4) == [
         eval_hyper_family(1, 2, 0, x) for x in range(5)
     ]
+
+
+WIDE_A = [1, 2, 3, 4, 5, -1, -2, -3, -4, -5]
+
+
+@pytest.mark.parametrize("a", WIDE_A)
+def test_factorial_spec_recurrence_matches_per_x_evaluation(a):
+    xs = range(61)
+    assert FactorialESpec(a).tabulate(60) == [eval_factorial_e(a, x) for x in xs]
+    assert FactorialESpec(a, scale=-2).tabulate(60) == [
+        eval_scaled_factorial_e(-2, a, x) for x in xs
+    ]
+    for rounding in ("floor", "ceil"):
+        assert FactorialESpec(a, rounding).tabulate(60) == [
+            closed_form_factorial_e(a, rounding, x) for x in xs
+        ]
+
+
+@pytest.mark.parametrize("a", WIDE_A)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_hyper_spec_recurrence_matches_per_x_evaluation(a, k):
+    xs = range(61)
+    for r in range(k):
+        assert HyperSpec(a, k, r).tabulate(60) == [
+            eval_hyper_family(a, k, r, x) for x in xs
+        ]
+        for rounding in ("floor", "ceil"):
+            assert HyperSpec(a, k, r, rounding).tabulate(60) == [
+                closed_form_hyper(a, k, r, rounding, x) for x in xs
+            ], (r, rounding)
+
+
+def test_spec_tables_reject_negative_x_max():
+    specs = [
+        FactorialESpec(1),
+        FactorialESpec(-2, "floor"),
+        HyperSpec(1, 2, 0),
+        HyperSpec(-1, 3, 2, "ceil"),
+        PolynomialSpec((Fraction(1),)),
+        ExponentialSpec(Fraction(1), 2),
+    ]
+    for spec in specs:
+        with pytest.raises(ValueError, match="natural number"):
+            spec.tabulate(-1)
+    with pytest.raises(ValueError, match="natural number"):
+        verify_factorial_e(1, "floor", -3)
+    with pytest.raises(ValueError, match="natural number"):
+        verify_hyper(1, 2, 0, "floor", -3)
+
+
+def test_spec_tables_validate_parameters_before_stepping():
+    specs = [
+        FactorialESpec(0),
+        FactorialESpec(0, "floor"),
+        FactorialESpec(1, "round"),
+        FactorialESpec(1, scale=0),
+        HyperSpec(0, 2, 0),
+        HyperSpec(1, 1, 0),
+        HyperSpec(1, 2, 2),
+        HyperSpec(1, 2, -1),
+        HyperSpec(1, 2, 0, "round"),
+    ]
+    for spec in specs:
+        with pytest.raises(ValueError):
+            spec.tabulate(0)
+    with pytest.raises(ValueError):
+        verify_factorial_e(0, "floor", 0)
+    with pytest.raises(ValueError):
+        verify_hyper(1, 3, 3, "floor", 0)
+
+
+def count_calls(monkeypatch, name):
+    """Record the calls that families makes to one of its module globals."""
+    calls = []
+    original = getattr(families_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(families_module, name, counted)
+    return calls
+
+
+def expected_status(row, oracle, patched):
+    if oracle is UNDECIDED:
+        return "undecided"
+    if row.closed == oracle:
+        return "match"
+    return "patched" if patched else "mismatch"
+
+
+@pytest.mark.parametrize("a", WIDE_A)
+def test_verify_factorial_e_shares_one_enclosure(monkeypatch, a):
+    for rounding in ("floor", "ceil"):
+        calls = count_calls(monkeypatch, "enclose_exp_inv")
+        # with no refinement budget every row must settle on the shared one
+        report = verify_factorial_e(a, rounding, 40, max_refinements=0)
+        assert len(calls) == 1
+        assert report.undecided_count == 0
+        monkeypatch.undo()
+        assert report == verify_factorial_e(a, rounding, 40)
+        for row in report.rows:
+            oracle = oracle_rounded_factorial_e(a, rounding, row.x)
+            assert row.oracle == oracle
+            assert row.status == expected_status(row, oracle, a == 1 and row.x == 0)
+
+
+@pytest.mark.parametrize("a", WIDE_A)
+def test_verify_hyper_shares_one_enclosure_per_residue(monkeypatch, a):
+    for k in range(2, 6):
+        for r in range(k):
+            for rounding in ("floor", "ceil"):
+                calls = count_calls(monkeypatch, "enclose_hyper")
+                report = verify_hyper(a, k, r, rounding, 30, max_refinements=0)
+                assert len(calls) == k
+                assert report.undecided_count == 0, (k, r, rounding)
+                assert report.consistent
+                monkeypatch.undo()
+
+
+@pytest.mark.parametrize("a", [1, -1, 2, -3, 5])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_verify_hyper_statuses_equal_the_per_row_oracle(a, k):
+    for r in range(k):
+        case = hyper_case(a, k, r)
+        rounding = ("floor", "ceil")[r % 2]
+        for row in verify_hyper(a, k, r, rounding, 20).rows:
+            oracle = oracle_rounded_hyper(a, k, r, rounding, row.x)
+            assert row.oracle == oracle
+            assert row.status == expected_status(row, oracle, row.x < case.patch_len)
+
+
+def test_verify_rows_refine_on_their_own_from_a_loose_shared_enclosure(monkeypatch):
+    # a shared enclosure far too wide for any row: each row halves from it
+    monkeypatch.setattr(families_module, "_oracle_width", lambda factor: Fraction(1, 2))
+    calls = count_calls(monkeypatch, "enclose_exp_inv")
+    loose = verify_factorial_e(3, "floor", 12)
+    assert len(calls) > 13
+    assert loose.undecided_count == 0
+    assert verify_factorial_e(3, "floor", 12, max_refinements=0).undecided_count > 0
+    monkeypatch.undo()
+    assert loose == verify_factorial_e(3, "floor", 12)
 
 
 def test_polynomial_spec_tabulate():

@@ -1,5 +1,6 @@
 """Enclosure and floor-resolution behavior, checked against naive series."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,8 @@ def test_enclose_hyper_validates_arguments():
         enclose_hyper(2, 2, 2, Fraction(1, 10))
     with pytest.raises(ValueError):
         enclose_hyper(2, 0, 0, Fraction(1, 10))
+    with pytest.raises(ValueError):
+        enclose_hyper(2, 0, 2, Fraction(-1, 10))
 
 
 @pytest.mark.parametrize("a", [1, 2, -2])
@@ -180,3 +183,77 @@ def test_hyperbolic_decimal_expansions():
         refine = halving_refiner(lambda w: enclose_hyper(2, s, 2, w), start)
         got = floor_via_interval(enclose_hyper(2, s, 2, start), 10**6, 200, refine)
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# The integer-series enclosures against the per-term Fraction loops they
+# replaced, kept here as the reference.
+# ---------------------------------------------------------------------------
+
+
+def fraction_loop_exp_inv(a, width_bound):
+    t = Fraction(1, a)
+    total = Fraction(0)
+    term = Fraction(1)
+    j = 0
+    while True:
+        total += term
+        nxt = term * t / (j + 1)
+        if a > 0:
+            if 3 * nxt <= width_bound:
+                return total, total + 3 * nxt
+        elif -width_bound <= nxt <= width_bound:
+            return (total, total + nxt) if nxt >= 0 else (total + nxt, total)
+        term = nxt
+        j += 1
+
+
+def fraction_loop_hyper(k, s, a, width_bound):
+    t = Fraction(1, a)
+    exponent = s
+    term = t**s / math.factorial(s)
+    total = Fraction(0)
+    while True:
+        total += term
+        nxt = term * t**k
+        for j in range(exponent + 1, exponent + k + 1):
+            nxt /= j
+        exponent += k
+        tail = 2 * abs(nxt)
+        if t > 0:
+            if tail <= width_bound:
+                return total, total + tail
+        elif 2 * tail <= width_bound:
+            return total - tail, total + tail
+        term = nxt
+
+
+REFERENCE_WIDTHS = [
+    Fraction(5),
+    Fraction(3),
+    Fraction(1),
+    Fraction(2, 3),
+    Fraction(1, 7),
+    Fraction(1, 10**9),
+    Fraction(3, 10**40),
+    Fraction(1, 4 * 5**40 * math.factorial(40)),
+    Fraction(1, 4 * 5**80 * math.factorial(80)),
+]
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 4, 5, -1, -2, -3, -4, -5])
+def test_enclose_exp_inv_equals_the_fraction_loop(a):
+    for width in REFERENCE_WIDTHS:
+        box = enclose_exp_inv(a, width)
+        assert (box.lo, box.hi) == fraction_loop_exp_inv(a, width), width
+
+
+@pytest.mark.parametrize("a", [1, 2, 5, -1, -3, -5])
+def test_enclose_hyper_equals_the_fraction_loop(a):
+    for k in range(2, 6):
+        for s in range(k):
+            for width in REFERENCE_WIDTHS:
+                box = enclose_hyper(k, s, a, width)
+                assert (box.lo, box.hi) == fraction_loop_hyper(k, s, a, width), (
+                    k, s, width,
+                )
